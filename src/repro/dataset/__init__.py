@@ -1,7 +1,14 @@
 """Relational-table substrate: typed columns, tables, inference, and IO."""
 
 from .column import EPOCH, Column, ColumnType
-from .inference import build_column, infer_type, parse_temporal
+from .inference import (
+    ColumnParser,
+    TypeTally,
+    build_column,
+    decide_type,
+    infer_type,
+    parse_temporal,
+)
 from .io import read_csv, write_csv
 from .profile import ColumnProfile, TableProfile, profile_table
 from .sketches import (
@@ -13,7 +20,6 @@ from .sketches import (
     StreamingHistogram,
     StreamingMoments,
     TableSketch,
-    TypeVotes,
 )
 from .sources import (
     NA_TOKENS,
@@ -35,7 +41,10 @@ __all__ = [
     "Table",
     "build_column",
     "infer_type",
+    "decide_type",
     "parse_temporal",
+    "ColumnParser",
+    "TypeTally",
     "read_csv",
     "write_csv",
     "ColumnProfile",
@@ -54,7 +63,6 @@ __all__ = [
     "StreamingHistogram",
     "StreamingMoments",
     "TableSketch",
-    "TypeVotes",
     "NA_TOKENS",
     "CsvSource",
     "JsonlSource",

@@ -60,6 +60,8 @@ class ColumnType(str, Enum):
 
 def _to_temporal_floats(values: Iterable) -> np.ndarray:
     """Encode datetimes/dates as float seconds since :data:`EPOCH`."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        return values
     encoded = []
     for value in values:
         if isinstance(value, _dt.datetime):

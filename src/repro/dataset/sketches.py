@@ -18,16 +18,16 @@ and the :class:`TableSketch` that composes them per column:
   histogram for streaming quantiles;
 * :class:`ReservoirSample` — algorithm-R row reservoir with one RNG
   draw per row past capacity, so the sample is a pure function of
-  ``(seed, row order)`` and never of chunk boundaries;
-* :class:`TypeVotes` — an additive re-statement of
-  :func:`repro.dataset.inference.infer_type`: feeding every raw value
-  through :meth:`TypeVotes.add` and calling :meth:`TypeVotes.decide`
-  returns *exactly* what ``infer_type`` would on the full sequence.
+  ``(seed, row order)`` and never of chunk boundaries.
 
 Because the final column type is only known at end of stream, each
 :class:`ColumnSketch` tracks all three coercion interpretations
-(numeric / temporal / categorical) simultaneously, using the exact
-coercion rules of :func:`repro.dataset.inference.build_column`; the
+(numeric / temporal / categorical) simultaneously: every chunk goes
+through the column's :class:`~repro.dataset.inference.ColumnParser`, the
+same parser :func:`~repro.dataset.inference.build_column` uses, and the
+chunk tallies add up to the :class:`~repro.dataset.inference.TypeTally`
+that :func:`~repro.dataset.inference.decide_type` reads, so the streamed
+type equals what ``infer_type`` returns on the full sequence.  The
 finished :class:`StreamProfile` then exposes the statistics of the
 winning interpretation, which the enumeration layer substitutes for
 :meth:`repro.core.features.ColumnFeatures.of` on sample-backed tables.
@@ -35,7 +35,6 @@ winning interpretation, which the enumeration layer substitutes for
 
 from __future__ import annotations
 
-import datetime as _dt
 import hashlib
 import random
 from dataclasses import dataclass
@@ -43,8 +42,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .column import EPOCH, ColumnType
-from .inference import TYPE_THRESHOLD, _parse_number, build_column, parse_temporal
+from .column import ColumnType
+from .inference import ColumnParser, TypeTally, build_column, decide_type
 from .table import Table
 
 __all__ = [
@@ -52,14 +51,10 @@ __all__ = [
     "DistinctCounter",
     "StreamingHistogram",
     "ReservoirSample",
-    "TypeVotes",
     "ColumnSketch",
     "SketchColumnStats",
     "StreamProfile",
     "TableSketch",
-    "temporal_seconds",
-    "numeric_value",
-    "categorical_token",
 ]
 
 #: Exact-set distinct counting spills to the KMV estimator past this.
@@ -73,37 +68,6 @@ DEFAULT_SAMPLE_ROWS = 100_000
 
 #: Default seed: the paper's year, like ``_DEFAULT_YEAR``.
 DEFAULT_SEED = 2015
-
-#: Cap on the per-column string-parse memo (token -> parse outcome).
-_MEMO_LIMIT = 65536
-
-
-# ----------------------------------------------------------------------
-# Coercion helpers — the exact value mapping of ``build_column``
-# ----------------------------------------------------------------------
-def numeric_value(value) -> float:
-    """The float ``build_column`` would store for one NUMERICAL cell."""
-    number = _parse_number(value)
-    return 0.0 if number is None else number
-
-
-def temporal_seconds(value) -> float:
-    """The epoch-seconds float ``build_column`` + :class:`Column` would
-    store for one TEMPORAL cell (including the ``timedelta``
-    microsecond rounding of the numeric fallback)."""
-    parsed = parse_temporal(value)
-    if parsed is not None:
-        return (parsed - EPOCH).total_seconds()
-    number = _parse_number(value)
-    if number is None:
-        return 0.0
-    return _dt.timedelta(seconds=number).total_seconds()
-
-
-def categorical_token(value) -> str:
-    """The string ``build_column`` would store for one CATEGORICAL cell."""
-    return "" if value is None else str(value)
-
 
 # ----------------------------------------------------------------------
 # Moments
@@ -375,70 +339,6 @@ class ReservoirSample:
 
 
 # ----------------------------------------------------------------------
-# Additive type inference
-# ----------------------------------------------------------------------
-class TypeVotes:
-    """A streaming restatement of :func:`~repro.dataset.inference.infer_type`.
-
-    :meth:`add` applies the same ``_non_null`` filter and per-value
-    parses; :meth:`decide` replays the exact threshold logic, so for any
-    value sequence ``decide() == infer_type(values)``.
-    """
-
-    __slots__ = ("present", "n_temporal", "n_numeric", "year_like_all")
-
-    def __init__(self) -> None:
-        self.present = 0
-        self.n_temporal = 0
-        self.n_numeric = 0
-        #: ``infer_type``'s year_like requires *every* parsed number to
-        #: be a non-None integer in [1800, 2200]; one counterexample is
-        #: permanent.
-        self.year_like_all = True
-
-    def add(self, value, number: Optional[float], is_temporal: bool) -> None:
-        """Record one *present* (non-null) value's parse outcomes."""
-        self.present += 1
-        if is_temporal:
-            self.n_temporal += 1
-        if number is not None:
-            self.n_numeric += 1
-        if self.year_like_all:
-            self.year_like_all = (
-                number is not None
-                and float(number).is_integer()
-                and 1800 <= number <= 2200
-            )
-
-    def decide(self) -> ColumnType:
-        """Replay ``infer_type``'s threshold logic over the tallies."""
-        if self.present == 0:
-            return ColumnType.CATEGORICAL
-        n = self.present
-        if self.n_temporal / n >= TYPE_THRESHOLD:
-            non_numeric_temporal = self.n_temporal > self.n_numeric
-            year_like = (
-                self.n_numeric / n >= TYPE_THRESHOLD and self.year_like_all
-            )
-            if non_numeric_temporal or year_like:
-                return ColumnType.TEMPORAL
-        if self.n_numeric / n >= TYPE_THRESHOLD:
-            return ColumnType.NUMERICAL
-        return ColumnType.CATEGORICAL
-
-
-def _is_null(value) -> bool:
-    """The ``_non_null`` drop condition of the inference module."""
-    if value is None:
-        return True
-    if isinstance(value, float) and value != value:
-        return True
-    if isinstance(value, str) and not value.strip():
-        return True
-    return False
-
-
-# ----------------------------------------------------------------------
 # Per-column sketch (all three interpretations at once)
 # ----------------------------------------------------------------------
 class ColumnSketch:
@@ -446,7 +346,7 @@ class ColumnSketch:
 
     The final type is unknown until end of stream, so every chunk is
     coerced three ways — numeric floats, temporal epoch-seconds,
-    categorical tokens — using the exact ``build_column`` rules, and the
+    categorical tokens — by the column parser ``build_column`` uses, and the
     matching moments/distinct/quantile sketches advance in lockstep.
     """
 
@@ -458,64 +358,25 @@ class ColumnSketch:
     ) -> None:
         self.name = name
         self.rows = 0
-        self.votes = TypeVotes()
+        self.votes = TypeTally()
         self.num_moments = StreamingMoments()
         self.num_distinct = DistinctCounter(spill_limit, kmv_k)
         self.num_histogram = StreamingHistogram()
         self.tem_moments = StreamingMoments()
         self.tem_distinct = DistinctCounter(spill_limit, kmv_k)
         self.cat_distinct = DistinctCounter(spill_limit, kmv_k)
-        #: string token -> (number, temporal_seconds or None-parse marker)
-        self._memo: Dict[str, Tuple[Optional[float], Optional[float], bool]] = {}
-
-    def _parse(self, value) -> Tuple[Optional[float], float, bool]:
-        """``(number, temporal_seconds, is_temporal)`` for one raw value."""
-        if isinstance(value, str) and len(self._memo) <= _MEMO_LIMIT:
-            hit = self._memo.get(value)
-            if hit is not None:
-                return hit
-        number = _parse_number(value)
-        if number is not None and isinstance(value, str):
-            # A float-parseable string can never satisfy any temporal
-            # format: each format demands a '-', '/', ':' or month-name
-            # literal that the float grammar cannot contain.  Skipping
-            # the strptime cascade here is the difference between ~3k
-            # and ~50k rows/s on numeric-text streams.
-            parsed = None
-        else:
-            parsed = parse_temporal(value)
-        if parsed is not None:
-            seconds = (parsed - EPOCH).total_seconds()
-            is_temporal = True
-        else:
-            is_temporal = False
-            seconds = (
-                _dt.timedelta(seconds=number).total_seconds()
-                if number is not None
-                else 0.0
-            )
-        outcome = (number, seconds, is_temporal)
-        if isinstance(value, str) and len(self._memo) < _MEMO_LIMIT:
-            self._memo[value] = outcome
-        return outcome
+        self.parser = ColumnParser()
 
     def add_chunk(self, values: Sequence) -> None:
         """Feed one chunk of raw cells through all three coercions."""
-        n = len(values)
-        if n == 0:
+        if len(values) == 0:
             return
-        self.rows += n
-        nums = np.empty(n, dtype=np.float64)
-        tems = np.empty(n, dtype=np.float64)
-        cats: List[str] = []
-        votes = self.votes
-        for i, value in enumerate(values):
-            number, seconds, is_temporal = self._parse(value)
-            nums[i] = 0.0 if number is None else number
-            tems[i] = seconds
-            cats.append(categorical_token(value))
-            if not _is_null(value):
-                votes.add(value, number, is_temporal)
+        self.rows += len(values)
+        parsed = self.parser.parse(values)
+        self.votes += parsed.tally()
+        nums = parsed.coerced(ColumnType.NUMERICAL)
+        tems = parsed.coerced(ColumnType.TEMPORAL)
+        cats = parsed.coerced(ColumnType.CATEGORICAL)
         self.num_moments.add_chunk(nums)
         self.num_distinct.add_floats(nums)
         self.num_histogram.add_chunk(nums)
@@ -526,7 +387,7 @@ class ColumnSketch:
     def finish(self, ctype: Optional[ColumnType] = None) -> "SketchColumnStats":
         """The final per-column statistics under ``ctype`` (defaults to
         the streamed type vote)."""
-        decided = ColumnType(ctype) if ctype is not None else self.votes.decide()
+        decided = ColumnType(ctype) if ctype is not None else decide_type(self.votes)
         if decided is ColumnType.NUMERICAL:
             moments, distinct = self.num_moments, self.num_distinct
         elif decided is ColumnType.TEMPORAL:
@@ -684,7 +545,7 @@ class TableSketch:
         overrides = overrides or {}
         return {
             sketch.name: ColumnType(
-                overrides.get(sketch.name, sketch.votes.decide())
+                overrides.get(sketch.name, decide_type(sketch.votes))
             )
             for sketch in self.columns
         }

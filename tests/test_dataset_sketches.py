@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataset import ColumnType, build_column, infer_type
+from repro.dataset.inference import TypeTally, decide_type
 from repro.dataset.sketches import (
     ColumnSketch,
     DistinctCounter,
@@ -13,11 +14,11 @@ from repro.dataset.sketches import (
     StreamingHistogram,
     StreamingMoments,
     TableSketch,
-    TypeVotes,
 )
+from tests import scalar_oracle
 
 # Cells that exercise every inference branch: numbers, year-like ints,
-# dates, plain text, and the null shapes (_non_null drops).
+# dates, plain text, and the null shapes (_is_null drops).
 cells = st.one_of(
     st.none(),
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
@@ -43,15 +44,22 @@ float_chunks = st.lists(
 
 
 class TestTypeVotes:
-    @given(cell_lists)
+    @given(cell_lists, st.lists(st.integers(min_value=0, max_value=120)))
     @settings(max_examples=100, deadline=None)
-    def test_decide_matches_infer_type(self, values):
+    def test_decide_matches_infer_type(self, values, cuts):
+        # The tallies streamed over any chunking decide the type that
+        # both the column parser and the scalar cascade infer.
         sketch = ColumnSketch("c")
-        sketch.add_chunk(values)
-        assert sketch.votes.decide() is infer_type(values)
+        bounds = sorted({0, len(values), *(c for c in cuts if c < len(values))})
+        for lo, hi in zip(bounds, bounds[1:]):
+            sketch.add_chunk(values[lo:hi])
+        decided = decide_type(sketch.votes)
+        assert decided is infer_type(values)
+        assert decided is scalar_oracle.infer_type(values)
 
     def test_empty_stream_is_categorical(self):
-        assert TypeVotes().decide() is ColumnType.CATEGORICAL
+        assert decide_type(TypeTally()) is ColumnType.CATEGORICAL
+        assert decide_type(ColumnSketch("c").votes) is ColumnType.CATEGORICAL
 
 
 class TestStreamingMoments:
