@@ -261,6 +261,68 @@ class TestEdgeRelations:
             )
             assert table.pushdown_provider._is_clean_numeric("n") is False
 
+    def test_blob_storage_is_unclean(self):
+        rows = [(b"\x01",)] + [(float(i),) for i in range(49)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _make_db(tmp, rows, "n")
+            table = _load(path)
+            assert table.pushdown_provider._is_clean_numeric("n") is False
+
+    def test_null_cells_widen_the_bin_range_to_zero(self):
+        # NULL coalesces to 0.0 in memory, so the binned range of a
+        # positive column with NULLs starts at 0.
+        rows = [(None if i % 5 == 0 else 3.0 + i, float(i)) for i in range(40)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _make_db(tmp, rows, "n REAL, y REAL")
+            table = _load(path)
+            for op in (AggregateOp.CNT, AggregateOp.SUM):
+                _assert_served_matches(
+                    table, BinIntoBuckets("n", 4), op,
+                    "y" if op is not AggregateOp.CNT else None,
+                )
+
+    def test_integer_and_real_storage_stay_apart(self):
+        # 5 and 5.0 are equal to sqlite but coerce to the categorical
+        # tokens '5' and '5.0'; grouping must keep the storage classes.
+        rows = [(5,), (5.0,), (5.0,), ("x",), ("y",)] * 4
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _make_db(tmp, rows, "c")
+            table = _load(path)
+            assert table.column("c").ctype is ColumnType.CATEGORICAL
+            _assert_served_matches(
+                table, GroupBy("c"), AggregateOp.CNT, None
+            )
+
+    def test_charts_of_one_x_share_one_scan(self):
+        rows = [
+            (("a", "b", "c")[i % 3], float(i % 11), float(i), float(i % 4))
+            for i in range(60)
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _make_db(tmp, rows, "c TEXT, n REAL, y REAL, u REAL")
+            table = _load(path)
+            statements = []
+            table.pushdown_provider._connection().set_trace_callback(
+                statements.append
+            )
+            for transform in (GroupBy("c"), BinIntoBuckets("n", 5)):
+                _assert_served_matches(table, transform, AggregateOp.CNT, None)
+                for y in ("y", "u"):
+                    for op in (AggregateOp.SUM, AggregateOp.AVG):
+                        _assert_served_matches(table, transform, op, y)
+            group_bys = [s for s in statements if "GROUP BY" in s]
+            assert len(group_bys) == 2, group_bys
+
+    def test_integer_overflow_in_one_column_serves_the_rest(self):
+        # Every clean column is summed beside each grouping; a column
+        # whose integer sum overflows int64 must not fail that fetch.
+        rows = [(("a", "b")[i % 2], 2 ** 62, float(i)) for i in range(8)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _make_db(tmp, rows, "c TEXT, big INTEGER, y REAL")
+            table = _load(path)
+            _assert_served_matches(table, GroupBy("c"), AggregateOp.SUM, "y")
+            _assert_served_matches(table, GroupBy("c"), AggregateOp.SUM, "big")
+
     def test_cross_storage_distincts_merge(self):
         # Integer 5 and text '5' are distinct to sqlite's GROUP BY but
         # coerce to one categorical token; counts must merge.
